@@ -53,12 +53,9 @@ from .series import (
     TruncatedPowerSeries,
     group_law_report,
     lazard_law,
-    ps_add,
     ps_compose,
     ps_exp,
     ps_inverse_composition,
-    ps_mul,
-    ps_scale,
 )
 from .zeta import (
     ZetaEvaluation,
@@ -107,12 +104,9 @@ __all__ = [
     "orientations",
     "parse_distribution",
     "parse_edge_list",
-    "ps_add",
     "ps_compose",
     "ps_exp",
     "ps_inverse_composition",
-    "ps_mul",
-    "ps_scale",
     "resolve_scale",
     "shannon_entropy",
     "spectral_radius",

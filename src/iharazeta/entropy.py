@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .errors import InputError, InvalidDistribution, InvalidParams
+from .errors import InputError, InvalidDistribution, InvalidParams, NegativeEntropyTerm
 from .graph import Graph, orientations
 from .line_graph import SpectralRadius, build_line_graph
 from .series import (
@@ -272,13 +272,19 @@ def maximizer(params: EntropyParams, tol: float = 1e-12, max_iterations: int = 2
 
 
 def ihara_entropy(dist: ProbabilityDistribution, params: EntropyParams) -> EntropyReport:
-    """Total entropy ``sum_i term_s(p_i)`` with compensated summation."""
+    """Total entropy ``sum_i term_s(p_i)`` with compensated summation.
+
+    Raises:
+        NegativeEntropyTerm: a term is negative beyond float dust, which
+            the monotonicity of the zeta series rules out.
+    """
     if not isinstance(dist, ProbabilityDistribution):
         dist = ProbabilityDistribution.from_values(dist)
     terms = []
     for p in dist:
         raw = term_s(p, params)
-        assert raw >= -_NEGATIVE_DUST, f"entropy term {raw} at p={p}"
+        if not raw >= -_NEGATIVE_DUST:
+            raise NegativeEntropyTerm(f"entropy term {raw} at p={p}")
         terms.append(max(raw, 0.0))
     return EntropyReport(
         entropy=math.fsum(terms),

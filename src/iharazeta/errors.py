@@ -91,3 +91,7 @@ class NoConvergence(IharaError):
 
 class SingularMatrix(IharaError):
     """Determinant vanished where the domain guard said it could not."""
+
+
+class NegativeEntropyTerm(IharaError):
+    """Per-event entropy term below zero by more than float dust."""

@@ -2,12 +2,16 @@
 
 Univariate series hold coefficients ``a_0..a_N`` and every operation is
 exact modulo ``x^(N+1)``. Coefficients may be ``int``/``Fraction`` (then
-all results stay exact rationals) or ``float``. Bivariate series are
-stored densely over total degree, which is cheap at the orders used
-here and keeps the group-law axiom checks straightforward.
+all results stay exact rationals) or ``float``. The compositional
+inverse and the Lazard law lift float coefficients to the rationals
+they hold, compute exactly in integers and round each result once.
+Bivariate series are stored densely over total degree, which is cheap
+at the orders used here and keeps the group-law axiom checks
+straightforward.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -32,10 +36,23 @@ def _div(value, k: int):
     return value / k
 
 
-def _reciprocal(value):
-    if isinstance(value, int):
-        return Fraction(1, value)
-    return 1 / value
+def _common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integers ``P`` and ``D`` with ``coeffs[k] == P[k] / D`` exactly.
+
+    ``D`` is the least common multiple of the denominators. Floats are
+    lifted to the exact rational they hold, so float input runs through
+    the same integer arithmetic as rational input.
+    """
+    lifted = [Fraction(c) for c in coeffs]
+    den = 1
+    for c in lifted:
+        den = math.lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in lifted], den
+
+
+def _ratio(num: int, den: int, exact: bool):
+    # Float results are rounded once, from the exact ratio.
+    return Fraction(num, den) if exact else num / den
 
 
 @dataclass(frozen=True)
@@ -154,18 +171,6 @@ class TruncatedPowerSeries:
         return acc
 
 
-def ps_add(s: TruncatedPowerSeries, t: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    return s + t
-
-
-def ps_mul(s: TruncatedPowerSeries, t: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    return s * t
-
-
-def ps_scale(s: TruncatedPowerSeries, factor) -> TruncatedPowerSeries:
-    return s.scale(factor)
-
-
 def ps_exp(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
     """exp of a series with zero constant term.
 
@@ -212,10 +217,17 @@ def ps_inverse_composition(t: TruncatedPowerSeries) -> TruncatedPowerSeries:
     """Compositional inverse F with ``F(T(x)) = T(F(x)) = x`` mod x^(N+1).
 
     The classical criterion asks for a unit linear coefficient; any
-    nonzero linear coefficient is supported here by scaling, which is an
-    extension of that criterion. Coefficients are solved order by order:
-    adding ``d x^n`` to F shifts the n-th coefficient of T(F) by
-    ``t_1 d``, so each residual is cancelled directly.
+    nonzero linear coefficient is supported here, which is an extension
+    of that criterion.
+
+    Lagrange inversion gives ``[x^m]F = (1/m) [t^(m-1)] h(t)^m`` with
+    ``h = t / T(t)`` (Brent and Kung, J. ACM 1978, section 1). Writing
+    ``T = P / D`` with integer ``P_k`` and ``D`` the lcm of the
+    denominators, ``R_k = P_1^(k+1) [t^k] h(t) / D`` is an integer and
+    ``[x^m]F = D^m [t^(m-1)] R^m / (m P_1^(2m-1))``. The powers ``R^m``
+    come from repeated truncated products, so the whole inverse costs
+    O(N^3) integer operations and one gcd per coefficient. Float
+    coefficients are lifted exactly and each result is rounded once.
 
     Raises:
         NotInvertible: nonzero constant term or vanishing linear term.
@@ -224,14 +236,25 @@ def ps_inverse_composition(t: TruncatedPowerSeries) -> TruncatedPowerSeries:
         raise NotInvertible("series with nonzero constant term has no inverse")
     if t.coeffs[1] == 0:
         raise NotInvertible("series with zero linear coefficient has no inverse")
-    inv_t1 = _reciprocal(t.coeffs[1])
+    exact = t.is_exact()
+    p, den = _common_denominator(t.coeffs)
     n = t.order
+    p1 = p[1]
+    # From (sum_i P_(i+1) t^i) * h = D: R_0 = 1 and, scaled by P_1^k,
+    # R_k = -sum_{i=1..k} P_(i+1) P_1^(i-1) R_(k-i).
+    p1_powers = [1]
+    for _ in range(n):
+        p1_powers.append(p1_powers[-1] * p1)
+    r = [1] + [0] * (n - 1)
+    for k in range(1, n):
+        r[k] = -sum(p[i + 1] * p1_powers[i - 1] * r[k - i] for i in range(1, k + 1))
+    r_series = TruncatedPowerSeries(tuple(r))
+    power = r_series
     out = [0] * (n + 1)
-    out[1] = inv_t1
-    for k in range(2, n + 1):
-        partial = TruncatedPowerSeries(tuple(out[: k + 1]))
-        comp = ps_compose(t.truncate(k), partial)
-        out[k] = -comp.coeffs[k] * inv_t1
+    for m in range(1, n + 1):
+        if m > 1:
+            power = power * r_series
+        out[m] = _ratio(den**m * power.coeffs[m - 1], m * p1 ** (2 * m - 1), exact)
     return TruncatedPowerSeries(tuple(out))
 
 
@@ -354,6 +377,14 @@ def lazard_law(
     order and are truncated. With exact coefficients the inverse-pair
     check is exact; with floats a small tolerance is applied.
 
+    Expanding ``(F(s1) + F(s2))^k`` binomially gives
+    ``Phi = Pow^T M Pow`` with the power table ``Pow[j][a] = [x^a]F^j``
+    and ``M[j][l] = C(j+l, j) g_(j+l)``. The table costs O(N^3) and so
+    do the two triangular matrix products, which run in integers with
+    each column of the table over its own common denominator and one gcd
+    per coefficient. Float coefficients are lifted exactly and each
+    result is rounded once.
+
     Raises:
         InversePairMismatch: ``g(f(x))`` is not the identity modulo
             ``x^(order+1)``.
@@ -363,20 +394,46 @@ def lazard_law(
     if gt.order != order or ft.order != order:
         raise OrderMismatch("inputs shorter than the requested order")
     comp = ps_compose(gt, ft)
-    if gt.is_exact() and ft.is_exact():
+    exact = gt.is_exact() and ft.is_exact()
+    if exact:
         if comp != TruncatedPowerSeries.identity(order):
             raise InversePairMismatch("G(F(x)) != x in exact arithmetic")
     else:
         scale = max(1.0, max(abs(float(c)) for c in gt.coeffs + ft.coeffs))
         if _identity_deviation(comp) > 1e-8 * scale:
             raise InversePairMismatch("G(F(x)) deviates from x beyond tolerance")
-    summed = BivariateTruncatedSeries.embed_first(
-        ft, order
-    ) + BivariateTruncatedSeries.embed_second(ft, order)
-    res = BivariateTruncatedSeries.zero(order) + gt.coeffs[order]
-    for k in range(order - 1, -1, -1):
-        res = res * summed + gt.coeffs[k]
-    return res
+    gn, gden = _common_denominator(gt.coeffs)
+    n = order
+    lifted = ft.map_coeffs(Fraction)
+    powers = [TruncatedPowerSeries.one(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * lifted)
+    # Column a of the power table over its own common denominator:
+    # [x^a]F^j = pw[a][j] / col_den[a] for j <= a; it vanishes for j > a.
+    pw, col_den = zip(
+        *(_common_denominator(powers[j].coeffs[a] for j in range(a + 1)) for a in range(n + 1))
+    )
+    # q[j][b] = sum_l M[j][l] [x^b]F^l, up to the factor gden col_den[b].
+    q = [
+        [
+            sum(math.comb(j + l, j) * gn[j + l] * pw[b][l] for l in range(b + 1))
+            for b in range(n + 1 - j)
+        ]
+        for j in range(n + 1)
+    ]
+    return BivariateTruncatedSeries(
+        tuple(
+            tuple(
+                _ratio(
+                    sum(pw[a][j] * q[j][b] for j in range(a + 1)),
+                    gden * col_den[a] * col_den[b],
+                    exact,
+                )
+                for b in range(n + 1 - a)
+            )
+            for a in range(n + 1)
+        )
+    )
 
 
 def group_law_report(phi: BivariateTruncatedSeries, atol=0) -> dict[str, bool]:

@@ -1,0 +1,60 @@
+"""Reference implementations of the exact series kernels.
+
+An order-by-order compositional inverse, which recomposes the partial
+inverse for every coefficient (O(N^4)), and the Lazard law by N
+bivariate Horner steps. They are slow but plainly correct, so the tests
+compare the package's Lagrange inversion and power-table Lazard law
+against them coefficient for coefficient.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from iharazeta.errors import NotInvertible
+from iharazeta.series import (
+    BivariateTruncatedSeries,
+    TruncatedPowerSeries,
+    ps_compose,
+)
+
+
+def inverse_composition_order_by_order(t: TruncatedPowerSeries) -> TruncatedPowerSeries:
+    """Compositional inverse solved one coefficient at a time.
+
+    Adding ``d x^n`` to F shifts the n-th coefficient of T(F) by
+    ``t_1 d``, so each residual is cancelled directly; the partial
+    inverse is recomposed for every coefficient.
+    """
+    if t.coeffs[0] != 0:
+        raise NotInvertible("series with nonzero constant term has no inverse")
+    if t.coeffs[1] == 0:
+        raise NotInvertible("series with zero linear coefficient has no inverse")
+    t1 = t.coeffs[1]
+    inv_t1 = Fraction(1, t1) if isinstance(t1, int) else 1 / t1
+    n = t.order
+    out = [0] * (n + 1)
+    out[1] = inv_t1
+    for k in range(2, n + 1):
+        partial = TruncatedPowerSeries(tuple(out[: k + 1]))
+        comp = ps_compose(t.truncate(k), partial)
+        out[k] = -comp.coeffs[k] * inv_t1
+    return TruncatedPowerSeries(tuple(out))
+
+
+def lazard_horner(
+    g: TruncatedPowerSeries, f: TruncatedPowerSeries, order: int
+) -> BivariateTruncatedSeries:
+    """``G(F(s1) + F(s2))`` by Horner's rule over bivariate series.
+
+    Unlike the package's ``lazard_law`` this does not check that the
+    pair is inverse, so it also accepts exactly lifted float pairs.
+    """
+    gt = g.truncate(order)
+    ft = f.truncate(order)
+    summed = BivariateTruncatedSeries.embed_first(
+        ft, order
+    ) + BivariateTruncatedSeries.embed_second(ft, order)
+    res = BivariateTruncatedSeries.zero(order) + gt.coeffs[order]
+    for k in range(order - 1, -1, -1):
+        res = res * summed + gt.coeffs[k]
+    return res

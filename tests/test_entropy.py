@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,12 @@ from iharazeta.entropy import (
     term_s,
     term_slope,
 )
-from iharazeta.errors import InputError, InvalidDistribution, InvalidParams
+from iharazeta.errors import (
+    InputError,
+    InvalidDistribution,
+    InvalidParams,
+    NegativeEntropyTerm,
+)
 
 from conftest import entropy_params, graph, zeta_series
 
@@ -134,6 +143,39 @@ class TestEntropy:
         assert report.entropy == pytest.approx(math.fsum(report.terms), abs=1e-15)
         assert all(t >= 0.0 for t in report.terms)
         assert report.entropy >= 0.0
+
+    @pytest.mark.parametrize("raw", [-1.0, math.nan])
+    def test_negative_term_is_typed_error(self, monkeypatch, raw):
+        monkeypatch.setattr(iz.entropy, "term_s", lambda p, params: raw)
+        with pytest.raises(NegativeEntropyTerm):
+            iz.ihara_entropy(PD.from_values([0.5, 0.5]), entropy_params("k4"))
+
+    def test_negative_term_raises_under_optimize(self):
+        # python -O strips assert statements; the check must survive it.
+        script = (
+            "import sys\n"
+            "import iharazeta as iz\n"
+            "from iharazeta.errors import NegativeEntropyTerm\n"
+            "k4 = iz.parse_edge_list('0 1\\n0 2\\n0 3\\n1 2\\n1 3\\n2 3')\n"
+            "params = iz.EntropyParams.for_graph(k4, order=8)\n"
+            "iz.entropy.term_s = lambda p, params: -1.0\n"
+            "try:\n"
+            "    iz.ihara_entropy(iz.ProbabilityDistribution.uniform(2), params)\n"
+            "except NegativeEntropyTerm:\n"
+            "    print('raised', sys.flags.optimize)\n"
+        )
+        src = str(Path(iz.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["raised", "1"]
 
     @pytest.mark.parametrize("name", ["k4", "diamond"])
     def test_nonnegative_on_random_distributions(self, name):

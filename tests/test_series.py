@@ -1,6 +1,7 @@
 """Truncated series arithmetic, composition, inversion, group law."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from iharazeta.errors import (
     OrderMismatch,
 )
 from iharazeta.series import BivariateTruncatedSeries, TruncatedPowerSeries
+
+import oracles
 
 F = Fraction
 
@@ -46,13 +49,13 @@ class TestArithmetic:
         assert (p * q).coeffs == (1, 0, -1)
 
     def test_scale(self):
-        assert iz.ps_scale(series(0, 1), 3).coeffs == (0, 3)
+        assert series(0, 1).scale(3).coeffs == (0, 3)
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
-            iz.ps_add(series(1, 2), series(1, 2, 3))
+            series(1, 2) + series(1, 2, 3)
         with pytest.raises(OrderMismatch):
-            iz.ps_mul(series(1, 2), series(1, 2, 3))
+            series(1, 2) * series(1, 2, 3)
 
     def test_eval_is_exact_on_fractions(self):
         p = series(F(1, 2), F(1, 3), F(1, 4))
@@ -249,3 +252,76 @@ class TestLazardLaw:
         assert not report["commutativity"]
         assert not report["associativity"]
         assert report["unit"]
+
+
+# --- production kernels against the reference algorithms -------------------
+
+nonzero_fractions = small_fractions.filter(bool)
+# Float coefficients stay well inside the normal range, so the exact
+# results they lift to do not underflow when rounded back.
+moderate_floats = st.floats(min_value=-2, max_value=2).filter(
+    lambda x: x == 0 or abs(x) >= 1e-3
+)
+
+
+@st.composite
+def invertible_series(draw, zero, linear, tail, max_order=7):
+    order = draw(st.integers(1, max_order))
+    rest = draw(st.lists(tail, min_size=order - 1, max_size=order - 1))
+    return TruncatedPowerSeries((zero, draw(linear), *rest))
+
+
+exact_invertible = invertible_series(F(0), nonzero_fractions, small_fractions)
+float_invertible = invertible_series(
+    0.0, st.floats(min_value=0.25, max_value=2) | st.floats(min_value=-2, max_value=-0.25),
+    moderate_floats,
+)
+
+
+def strings(coeffs):
+    return [str(c) for c in coeffs]
+
+
+def close_to_exact(value: float, exact: Fraction) -> bool:
+    # Relative 1e-12, with the spacing of the float grid at zero as the floor.
+    return abs(F(value) - exact) <= F(1e-12) * abs(exact) + F(math.ulp(0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_invertible)
+def test_inverse_matches_order_by_order_oracle(t):
+    got = iz.ps_inverse_composition(t)
+    want = oracles.inverse_composition_order_by_order(t)
+    assert got == want
+    assert strings(got.coeffs) == strings(want.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_invertible, st.integers(0, 7))
+def test_lazard_matches_horner_oracle(g, cut):
+    order = min(cut, g.order)
+    f = iz.ps_inverse_composition(g)
+    got = iz.lazard_law(g, f, order)
+    want = oracles.lazard_horner(g, f, order)
+    assert got == want
+    assert [strings(row) for row in got.coeffs] == [strings(row) for row in want.coeffs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_invertible)
+def test_float_inverse_agrees_with_lifted_exact(t):
+    got = iz.ps_inverse_composition(t)
+    exact = iz.ps_inverse_composition(t.map_coeffs(F))
+    assert not got.is_exact()
+    assert all(close_to_exact(x, y) for x, y in zip(got.coeffs, exact.coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_invertible)
+def test_float_lazard_agrees_with_lifted_exact(g):
+    f = iz.ps_inverse_composition(g)
+    got = iz.lazard_law(g, f, g.order)
+    exact = oracles.lazard_horner(g.map_coeffs(F), f.map_coeffs(F), g.order)
+    assert not got.is_exact()
+    for row_got, row_exact in zip(got.coeffs, exact.coeffs):
+        assert all(close_to_exact(x, y) for x, y in zip(row_got, row_exact))
