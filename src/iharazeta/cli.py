@@ -23,7 +23,7 @@ from .entropy import (
     term_slope,
     tsallis_entropy,
 )
-from .errors import DomainError, IharaError, InputError
+from .errors import IharaError, InputError
 from .graph import orientations, parse_edge_list, validate_admissible
 from .line_graph import build_line_graph
 from .primes import DEFAULT_DFS_BUDGET, enumerate_primes, euler_product_series
@@ -298,9 +298,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except IharaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

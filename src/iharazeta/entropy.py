@@ -135,10 +135,9 @@ class EntropyParams:
         if self.order < 1:
             raise InvalidParams("order must be at least 1")
         af = float(self.a)
-        if not 0.0 < af < self.zeta.x_limit:
-            raise InvalidParams(
-                f"a={af} outside (0, {self.zeta.x_limit}) for this graph"
-            )
+        limit = self.zeta.spectral.x_limit
+        if not 0.0 < af < limit:
+            raise InvalidParams(f"a={af} outside (0, {limit}) for this graph")
 
     @classmethod
     def for_graph(
@@ -196,7 +195,6 @@ class EntropyReport:
     a: float
     order: int
     lam: float
-    maximizer_c: float | None = None
 
 
 @dataclass(frozen=True)
@@ -320,16 +318,6 @@ def joint_entropy_check(
     return JointEntropyCheck(direct=direct, via_phi=via, delta=abs(direct - via))
 
 
-def _shifted_exponential_series(rate: int, order: int) -> TruncatedPowerSeries:
-    """Exact series of ``exp(rate * t) - 1``."""
-    coeffs = [Fraction(0)]
-    power = 1
-    for j in range(1, order + 1):
-        power *= rate
-        coeffs.append(Fraction(power, factorial(j)))
-    return TruncatedPowerSeries(tuple(coeffs))
-
-
 def formal_group_log_series(params: EntropyParams) -> TruncatedPowerSeries:
     """Group logarithm as a truncated series in ``t``.
 
@@ -341,25 +329,31 @@ def formal_group_log_series(params: EntropyParams) -> TruncatedPowerSeries:
 
         sum_k c_k a^k (e^{-kt} - 1)  +  (e^{-t} - 1)
 
-    so no composition with a nonzero-constant inner series is needed.
+    so no composition with a nonzero-constant inner series is needed:
+    for ``j >= 1`` the coefficient of ``t^j`` is
+    ``(-1)^j/j! + sum_k (-k)^j/j! c_k a^k``, built one at a time.
     """
     a = params.a
-    order = params.order
     zseries = params.zeta.series
     slope_at_a = zseries.derivative().eval(a)
     normalizer = 1 + a * slope_at_a
-    numerator = _shifted_exponential_series(-1, order)
-    for k in range(2, zseries.order + 1):
-        c_k = zseries.coeffs[k]
-        if c_k:
-            numerator = numerator + _shifted_exponential_series(-k, order).scale(
-                c_k * a**k
-            )
     if isinstance(normalizer, Fraction):
         factor = -1 / normalizer
     else:
         factor = -1.0 / float(normalizer)
-    return numerator.scale(factor)
+    weights = [
+        (k, c_k * a**k)
+        for k, c_k in enumerate(zseries.coeffs)
+        if k >= 2 and c_k
+    ]
+    coeffs = [0 * factor]  # every e^{-kt} - 1 vanishes at t = 0
+    for j in range(1, params.order + 1):
+        fact = factorial(j)
+        coeff = Fraction((-1) ** j, fact)
+        for k, weight in weights:
+            coeff = coeff + Fraction((-k) ** j, fact) * weight
+        coeffs.append(coeff * factor)
+    return TruncatedPowerSeries(tuple(coeffs))
 
 
 def shannon_entropy(dist: ProbabilityDistribution) -> float:

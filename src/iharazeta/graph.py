@@ -22,8 +22,6 @@ class Violation(str, Enum):
     MIN_DEGREE_BELOW_TWO = "MinDegreeBelowTwo"
     IS_CYCLE_GRAPH = "IsCycleGraph"
     IS_PATH_GRAPH = "IsPathGraph"
-    HAS_LOOP = "HasLoop"
-    HAS_MULTI_EDGE = "HasMultiEdge"
 
 
 @dataclass(frozen=True)
@@ -170,9 +168,7 @@ def validate_admissible(g: Graph) -> AdmissibilityReport:
 
     Conditions: connected, minimum degree two, not a cycle graph
     (connected with every degree exactly two), not a path graph
-    (a connected tree with maximum degree at most two). Loops and
-    multi-edges cannot occur in a well-formed :class:`Graph`, so the
-    corresponding tags exist only for report consumers.
+    (a connected tree with maximum degree at most two).
     """
     violations: list[Violation] = []
     degs = g.degrees()

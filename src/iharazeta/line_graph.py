@@ -23,24 +23,24 @@ DEFAULT_MAX_ITERATIONS = 100_000
 
 @dataclass(frozen=True)
 class OrientedLineGraph:
-    """Directed graph on the 2m oriented edges with adjacency matrix T."""
+    """Directed graph on the 2m oriented edges with adjacency matrix T.
+
+    T is stored as successor lists: ``successors[i]`` holds, in
+    ascending order, every ``j`` with ``T[i][j] = 1``.
+    """
 
     edge_set: DirectedEdgeSet
-    adjacency: tuple[tuple[int, ...], ...]
+    successors: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.adjacency)
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(j for j, bit in enumerate(row) if bit) for row in self.adjacency
-        )
+        return len(self.successors)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        mat = np.array(self.adjacency, dtype=float)
+        mat = np.zeros((self.size, self.size))
+        for i, row in enumerate(self.successors):
+            mat[i, list(row)] = 1.0
         mat.flags.writeable = False
         return mat
 
@@ -71,23 +71,34 @@ class SpectralRadius:
     iterations: int
     residual: float
 
+    @property
+    def x_limit(self) -> float:
+        """Safe right end of the zeta domain ``[0, 1/lambda)``.
+
+        Guards the exact radius ``1/lambda`` by twice the achieved
+        power-iteration residual, so points marginally past the radius
+        are rejected even if lambda was slightly underestimated.
+        """
+        return 1.0 / (self.value + 2.0 * self.residual)
+
 
 def build_line_graph(des: DirectedEdgeSet) -> OrientedLineGraph:
-    """Adjacency of the oriented line graph for a directed edge set.
+    """Successor lists of the oriented line graph for a directed edge set.
 
     ``T[i][j] = 1`` exactly when ``heads[i] == tails[j]`` and
-    ``tails[i] != heads[j]`` (feed-forward, backtracking excluded).
+    ``tails[i] != heads[j]`` (feed-forward, backtracking excluded). Each
+    row scans only the edges leaving ``heads[i]``, so the build costs
+    O(sum of squared degrees), not O((2m)^2).
     """
     heads, tails = des.heads, des.tails
-    size = des.size
-    rows = []
-    for i in range(size):
-        row = [
-            1 if heads[i] == tails[j] and tails[i] != heads[j] else 0
-            for j in range(size)
-        ]
-        rows.append(tuple(row))
-    return OrientedLineGraph(edge_set=des, adjacency=tuple(rows))
+    leaving: dict[int, list[int]] = {}
+    for j in range(des.size):
+        leaving.setdefault(tails[j], []).append(j)
+    succ = tuple(
+        tuple(j for j in leaving.get(heads[i], ()) if heads[j] != tails[i])
+        for i in range(des.size)
+    )
+    return OrientedLineGraph(edge_set=des, successors=succ)
 
 
 def traces(olg: OrientedLineGraph, K: int) -> TraceVector:
@@ -101,7 +112,10 @@ def traces(olg: OrientedLineGraph, K: int) -> TraceVector:
         raise ValueError("K must be at least 1")
     size = olg.size
     succ = olg.successors
-    power = [list(row) for row in olg.adjacency]
+    power = [[0] * size for _ in range(size)]
+    for i, row in enumerate(succ):
+        for j in row:
+            power[i][j] = 1
     values = []
     for _ in range(K):
         values.append(sum(power[i][i] for i in range(size)))

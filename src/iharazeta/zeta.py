@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -72,18 +72,8 @@ class ZetaSeries:
         return self.series.coeffs
 
     @cached_property
-    def float_coeffs(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.series.coeffs)
-
-    @property
-    def x_limit(self) -> float:
-        """Safe right end of the evaluation domain.
-
-        Guards the exact radius ``1/lambda`` by twice the achieved
-        power-iteration residual, so points marginally past the radius
-        are rejected even if lambda was slightly underestimated.
-        """
-        return 1.0 / (self.spectral.value + 2.0 * self.spectral.residual)
+    def float_series(self) -> TruncatedPowerSeries:
+        return self.series.map_coeffs(float)
 
 
 class ZetaEvaluation(NamedTuple):
@@ -100,11 +90,6 @@ def build_zeta_series(
     return ZetaSeries(
         series=zeta_coefficients(tv, order), spectral=spectral, line_graph=olg
     )
-
-
-@lru_cache(maxsize=None)
-def _spectral_for(olg: OrientedLineGraph) -> SpectralRadius:
-    return spectral_radius(olg)
 
 
 def _require_domain(x: float, limit: float) -> None:
@@ -127,9 +112,9 @@ def zeta_eval_exact(
             domain guard should have excluded.
     """
     if spectral is None:
-        spectral = _spectral_for(olg)
+        spectral = spectral_radius(olg)
     xf = float(x)
-    _require_domain(xf, 1.0 / (spectral.value + 2.0 * spectral.residual))
+    _require_domain(xf, spectral.x_limit)
     matrix = np.eye(olg.size) - xf * olg.matrix
     sign, logdet = np.linalg.slogdet(matrix)
     if sign <= 0:
@@ -142,9 +127,9 @@ def zeta_derivative_exact(
 ) -> float:
     """Derivative of the closed form: ``zeta(x) * trace((I - xT)^-1 T)``."""
     if spectral is None:
-        spectral = _spectral_for(olg)
+        spectral = spectral_radius(olg)
     xf = float(x)
-    _require_domain(xf, 1.0 / (spectral.value + 2.0 * spectral.residual))
+    _require_domain(xf, spectral.x_limit)
     matrix = np.eye(olg.size) - xf * olg.matrix
     resolvent_t = np.linalg.solve(matrix, olg.matrix)
     return zeta_eval_exact(olg, xf, spectral=spectral) * float(np.trace(resolvent_t))
@@ -161,7 +146,7 @@ def zeta_tail_bound(zs: ZetaSeries, x) -> float:
     small absolute allowance for float rounding.
     """
     xf = float(x)
-    limit = zs.x_limit
+    limit = zs.spectral.x_limit
     _require_domain(xf, limit)
     if xf == 0.0:
         return _FLOAT_SLACK
@@ -176,14 +161,11 @@ def zeta_eval_series(zs: ZetaSeries, x) -> ZetaEvaluation:
     """Horner evaluation of the truncated series plus its tail bound.
 
     Raises:
-        OutOfDomain: x outside ``[0, x_limit)``.
+        OutOfDomain: x outside ``[0, spectral.x_limit)``.
     """
     xf = float(x)
-    _require_domain(xf, zs.x_limit)
-    coeffs = zs.float_coeffs
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * xf + c
+    _require_domain(xf, zs.spectral.x_limit)
+    acc = zs.float_series.eval(xf)
     bound = zeta_tail_bound(zs, xf) + _FLOAT_SLACK * abs(acc)
     return ZetaEvaluation(value=acc, tail_bound=bound)
 
@@ -192,12 +174,8 @@ def zeta_derivative(zs: ZetaSeries, x) -> float:
     """Derivative of the truncated series at ``x``; nonnegative on the domain.
 
     Raises:
-        OutOfDomain: x outside ``[0, x_limit)``.
+        OutOfDomain: x outside ``[0, spectral.x_limit)``.
     """
     xf = float(x)
-    _require_domain(xf, zs.x_limit)
-    coeffs = zs.float_coeffs
-    acc = zs.order * coeffs[-1]
-    for k in range(zs.order - 1, 0, -1):
-        acc = acc * xf + k * coeffs[k]
-    return acc
+    _require_domain(xf, zs.spectral.x_limit)
+    return zs.float_series.derivative().eval(xf)

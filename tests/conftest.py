@@ -3,9 +3,11 @@
 The four reference graphs cover the admissible landscape: K4 and the
 Petersen graph are regular (exact Perron root 2), the five-vertex wheel
 mixes degrees 3 and 4, and the diamond (K4 minus an edge) is the
-smallest non-regular case. Builders are memoized so the expensive
-objects (order-32 series, compositional inverses) are shared across
-test modules within one pytest run.
+smallest non-regular case. K2,3 and K4 with every edge subdivided into
+a 3-edge path are admissible but their line graphs are periodic (the
+spectrum holds both lambda and -lambda). Builders are memoized so the
+expensive objects (order-32 series, compositional inverses) are shared
+across test modules within one pytest run.
 """
 from __future__ import annotations
 
@@ -20,6 +22,16 @@ EDGE_SETS = {
     # hub vertex 4 joined to the rim cycle 0-2-3-1-0
     "wheel": (5, ((0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))),
     "diamond": (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))),
+    "k23": (5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))),
+    # each K4 edge (u, v) in order becomes u - 4+2i - 5+2i - v
+    "k4_sub3": (
+        16,
+        tuple(
+            pair
+            for i, (u, v) in enumerate(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+            for pair in ((u, 4 + 2 * i), (4 + 2 * i, 5 + 2 * i), (5 + 2 * i, v))
+        ),
+    ),
     "petersen": (
         10,
         tuple(
@@ -31,6 +43,7 @@ EDGE_SETS = {
 }
 
 ACCEPTANCE_GRAPHS = ("k4", "wheel", "diamond", "petersen")
+PERIODIC_GRAPHS = ("k23", "k4_sub3")
 
 
 @lru_cache(maxsize=None)

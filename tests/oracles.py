@@ -1,21 +1,39 @@
-"""Reference implementations of the exact series kernels.
+"""Reference implementations of the line graph and the exact series kernels.
 
-An order-by-order compositional inverse, which recomposes the partial
-inverse for every coefficient (O(N^4)), and the Lazard law by N
-bivariate Horner steps. They are slow but plainly correct, so the tests
-compare the package's Lagrange inversion and power-table Lazard law
-against them coefficient for coefficient.
+The dense 0/1 matrix T straight from its defining predicate
+(O((2m)^2)), an order-by-order compositional inverse, which recomposes
+the partial inverse for every coefficient (O(N^4)), and the Lazard law
+by N bivariate Horner steps. They are slow but plainly correct, so the
+tests compare the package's successor lists, Lagrange inversion and
+power-table Lazard law against them entry for entry.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from iharazeta.errors import NotInvertible
+from iharazeta.graph import DirectedEdgeSet
 from iharazeta.series import (
     BivariateTruncatedSeries,
     TruncatedPowerSeries,
     ps_compose,
 )
+
+
+def dense_line_graph(des: DirectedEdgeSet) -> tuple[tuple[int, ...], ...]:
+    """Dense rows of T, one predicate test per entry.
+
+    ``T[i][j] = 1`` exactly when ``heads[i] == tails[j]`` and
+    ``tails[i] != heads[j]``.
+    """
+    heads, tails = des.heads, des.tails
+    return tuple(
+        tuple(
+            1 if heads[i] == tails[j] and tails[i] != heads[j] else 0
+            for j in range(des.size)
+        )
+        for i in range(des.size)
+    )
 
 
 def inverse_composition_order_by_order(t: TruncatedPowerSeries) -> TruncatedPowerSeries:

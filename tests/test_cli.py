@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,49 @@ class TestGroupLawRecordedOutput:
         for row_got, row_want in zip(got["phi"], want["phi"], strict=True):
             for x, y in zip(row_got, row_want, strict=True):
                 assert abs(float(x) - float(y)) <= 1e-9 * max(1.0, abs(float(y)))
+
+
+class TestZetaEntropyRecordedOutput:
+    """``zeta --order 32`` and ``entropy`` stdout against recorded output.
+
+    Strings, ints, keys and verdicts must match exactly; floats to
+    relative 1e-9, since other BLAS builds round the determinant and
+    the power iteration differently in the last bits.
+    """
+
+    DATA = Path(__file__).parent / "data"
+
+    def assert_matches(self, got, want):
+        assert type(got) is type(want)
+        if isinstance(want, float):
+            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0)
+        elif isinstance(want, dict):
+            assert list(got) == list(want)
+            for key in want:
+                self.assert_matches(got[key], want[key])
+        elif isinstance(want, list):
+            assert len(got) == len(want)
+            for x, y in zip(got, want):
+                self.assert_matches(x, y)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("name", ["k4", "wheel", "diamond", "petersen"])
+    @pytest.mark.parametrize(
+        "command, recording",
+        [
+            (["zeta", "--order", "32"], "zeta_{}_order32.json"),
+            (["entropy", "--dist", str(DATA / "entropy_dist.txt")], "entropy_{}.json"),
+        ],
+        ids=["zeta", "entropy"],
+    )
+    def test_matches_recording(self, capsys, tmp_path, name, command, recording):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(edge_list_text(name))
+        code, out, _ = run(capsys, command[0], "--graph", str(path), *command[1:])
+        assert code == 0
+        recorded = (self.DATA / recording.format(name)).read_text()
+        self.assert_matches(json.loads(out), json.loads(recorded))
 
 
 class TestCompare:

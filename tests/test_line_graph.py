@@ -1,50 +1,62 @@
 """Non-backtracking adjacency, exact traces, and the Perron root."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import iharazeta as iz
 from iharazeta.errors import NoConvergence
 
-from conftest import ACCEPTANCE_GRAPHS, graph, line_graph
+from conftest import ACCEPTANCE_GRAPHS, PERIODIC_GRAPHS, graph, line_graph
+from oracles import dense_line_graph
+
+BUILD_GRAPHS = ACCEPTANCE_GRAPHS + PERIODIC_GRAPHS
 
 
 class TestBuildLineGraph:
     def test_k4_row_sums_are_two(self):
         olg = line_graph("k4")
-        for row in olg.adjacency:
-            assert sum(row) == 2
+        assert all(len(row) == 2 for row in olg.successors)
+        assert (olg.matrix.sum(axis=1) == 2.0).all()
 
-    def test_row_sums_equal_head_degree_minus_one(self):
-        # Direct reconstruction of the defining predicate, checked on the
-        # wheel where head degrees differ between rim (3) and hub (4).
-        olg = line_graph("wheel")
+    @pytest.mark.parametrize("name", BUILD_GRAPHS)
+    def test_row_sums_equal_head_degree_minus_one(self, name):
+        # The successor lists and the float matrix both match the dense
+        # reference built from the defining predicate, entry for entry
+        # and with indices ascending.
+        olg = line_graph(name)
         des = olg.edge_set
-        degs = graph("wheel").degrees()
-        for i, row in enumerate(olg.adjacency):
-            assert sum(row) == degs[des.heads[i]] - 1
-            for j, bit in enumerate(row):
-                expected = des.heads[i] == des.tails[j] and des.tails[i] != des.heads[j]
-                assert bit == (1 if expected else 0)
+        degs = graph(name).degrees()
+        dense = dense_line_graph(des)
+        assert olg.successors == tuple(
+            tuple(j for j, bit in enumerate(row) if bit) for row in dense
+        )
+        assert np.array_equal(olg.matrix, np.array(dense, dtype=float))
+        for i, row in enumerate(olg.successors):
+            assert len(row) == degs[des.heads[i]] - 1
 
-    @pytest.mark.parametrize("name", ACCEPTANCE_GRAPHS)
+    @pytest.mark.parametrize("name", BUILD_GRAPHS)
     def test_diagonal_is_zero(self, name):
         olg = line_graph(name)
-        assert all(olg.adjacency[i][i] == 0 for i in range(olg.size))
+        assert all(i not in row for i, row in enumerate(olg.successors))
+        assert not olg.matrix.diagonal().any()
 
-    @pytest.mark.parametrize("name", ACCEPTANCE_GRAPHS)
+    @pytest.mark.parametrize("name", BUILD_GRAPHS)
     def test_backtracking_transitions_excluded(self, name):
         olg = line_graph(name)
         des = olg.edge_set
         for k in range(olg.size):
-            assert olg.adjacency[k][des.inverse(k)] == 0
+            assert des.inverse(k) not in olg.successors[k]
+            assert olg.matrix[k, des.inverse(k)] == 0.0
 
-    @pytest.mark.parametrize("name", ACCEPTANCE_GRAPHS)
+    @pytest.mark.parametrize("name", BUILD_GRAPHS)
     def test_total_entries_count_corner_turns(self, name):
         olg = line_graph(name)
         degs = graph(name).degrees()
-        total = sum(sum(row) for row in olg.adjacency)
-        assert total == sum(d * (d - 1) for d in degs)
+        corner_turns = sum(d * (d - 1) for d in degs)
+        assert sum(len(row) for row in olg.successors) == corner_turns
+        assert olg.matrix.sum() == corner_turns
+        assert sum(map(sum, dense_line_graph(olg.edge_set))) == corner_turns
 
 
 class TestTraces:

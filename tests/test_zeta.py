@@ -70,6 +70,8 @@ class TestEvaluation:
                 iz.zeta_eval_exact(zs.line_graph, bad, spectral=zs.spectral)
             with pytest.raises(OutOfDomain):
                 iz.zeta_derivative(zs, bad)
+            with pytest.raises(OutOfDomain):
+                iz.zeta_derivative_exact(zs.line_graph, bad, spectral=zs.spectral)
 
     def test_k4_quarter_point_against_determinant(self):
         zs = zeta_series("k4")
