@@ -16,8 +16,14 @@ from .errors import EmptyEdgeList, LoopEdge, MalformedLine, NotAdmissible
 
 
 class Violation(str, Enum):
-    """Tagged findings reported by :func:`validate_admissible`."""
+    """Tagged findings reported by :func:`validate_admissible`.
 
+    ``ISOLATED_VERTEX`` marks a vertex of degree 0. In a parsed edge list
+    that is a vertex id below the largest one that no edge mentions,
+    because the vertex count is one past the largest id.
+    """
+
+    ISOLATED_VERTEX = "IsolatedVertex"
     NOT_CONNECTED = "NotConnected"
     MIN_DEGREE_BELOW_TWO = "MinDegreeBelowTwo"
     IS_CYCLE_GRAPH = "IsCycleGraph"
@@ -168,10 +174,13 @@ def validate_admissible(g: Graph) -> AdmissibilityReport:
 
     Conditions: connected, minimum degree two, not a cycle graph
     (connected with every degree exactly two), not a path graph
-    (a connected tree with maximum degree at most two).
+    (a connected tree with maximum degree at most two). A vertex of
+    degree 0 breaks the first two; it is reported first, on its own tag.
     """
     violations: list[Violation] = []
     degs = g.degrees()
+    if 0 in degs:
+        violations.append(Violation.ISOLATED_VERTEX)
     connected = g.is_connected()
     if not connected:
         violations.append(Violation.NOT_CONNECTED)

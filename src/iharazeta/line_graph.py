@@ -6,6 +6,12 @@ does not immediately retrace ``i``. Its 0/1 adjacency matrix T drives
 everything else: ``trace(T^k)`` counts the closed non-backtracking walks
 of length k, and the largest eigenvalue of T is the reciprocal of the
 zeta series' convergence radius.
+
+The traces come from n x n vertex matrices, not from powers of the
+(2m)x(2m) matrix T: Bass's form of the Ihara determinant (Bass 1992;
+Kotani-Sunada 2000), ``det(I - uT) = (1 - u^2)^(m-n) det(I - uA +
+u^2(D - I))`` with A the vertex adjacency and D the diagonal of degrees,
+gives the same integers. See :func:`traces`.
 """
 from __future__ import annotations
 
@@ -104,31 +110,53 @@ def build_line_graph(des: DirectedEdgeSet) -> OrientedLineGraph:
 def traces(olg: OrientedLineGraph, K: int) -> TraceVector:
     """Traces of T^k for k = 1..K in exact integer arithmetic.
 
-    Powers are accumulated with Python integers via the successor lists,
-    never through floating point, so the values feed exact rational
-    series coefficients downstream.
+    With ``Q = D - I`` the matrices ``B_k`` given by ``B_-1 = 0``,
+    ``B_0 = I`` and ``B_k = A B_(k-1) - Q B_(k-2)`` are the coefficients
+    of ``(I - uA + u^2 Q)^-1``. Taking ``d/du log`` of Bass's formula
+    then gives
+
+        ``N_k = tr(B_(k-1) A) - 2 tr(B_(k-2) Q) + 2(m - n) [k even]``.
+
+    Each ``B_k`` is an n x n numpy array of Python ints (``dtype=object``),
+    so the values are exact at any order and feed exact rational series
+    coefficients downstream. ``A B`` is one gather of the rows of B at
+    the edge heads, grouped by tail, and a sum per group: O(2m n)
+    additions per step, O(K 2m n) in all, against O((2m)^2 (d - 1)) per
+    step for a power of T. Only vertices that occur in the edge set are
+    indexed; an isolated vertex cancels out of Bass's formula.
+
+    Raises:
+        ValueError: ``K < 1``, or the edge set is not the two
+            orientations of each edge of a simple graph, each listed
+            once (Bass's formula needs exactly that).
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    size = olg.size
-    succ = olg.successors
-    power = [[0] * size for _ in range(size)]
-    for i, row in enumerate(succ):
-        for j in row:
-            power[i][j] = 1
+    des = olg.edge_set
+    pairs = set(zip(des.tails, des.heads))
+    if len(pairs) != des.size or any(t == h or (h, t) not in pairs for t, h in pairs):
+        raise ValueError(
+            "traces need both orientations of each edge of a simple graph, each once"
+        )
+    index = {v: i for i, v in enumerate(sorted(set(des.tails)))}
+    n = len(index)
+    edges = sorted((index[t], index[h]) for t, h in pairs)
+    tail = np.array([t for t, _ in edges])
+    head = np.array([h for _, h in edges])
+    degree = np.bincount(tail, minlength=n)
+    starts = np.concatenate(([0], np.cumsum(degree)[:-1]))
+    q = np.array([int(d) - 1 for d in degree], dtype=object)
+    even_excess = 2 * (des.m - n)
+    prev = np.zeros((n, n), dtype=object)
+    cur = np.zeros((n, n), dtype=object)
+    np.fill_diagonal(cur, 1)
     values = []
-    for _ in range(K):
-        values.append(sum(power[i][i] for i in range(size)))
-        nxt = [[0] * size for _ in range(size)]
-        for i in range(size):
-            row = power[i]
-            out = nxt[i]
-            for k in range(size):
-                entry = row[k]
-                if entry:
-                    for j in succ[k]:
-                        out[j] += entry
-        power = nxt
+    for k in range(1, K + 1):
+        # cur = B_(k-1), prev = B_(k-2); tr(B A) sums B over the edges.
+        trace = int(cur[tail, head].sum()) - 2 * int((prev.diagonal() * q).sum())
+        values.append(trace + (even_excess if k % 2 == 0 else 0))
+        if k < K:
+            prev, cur = cur, np.add.reduceat(cur[head], starts) - q[:, None] * prev
     return TraceVector(K=K, values=tuple(values))
 
 

@@ -126,7 +126,8 @@ def count_closed_walks_bruteforce(
     Counts length-k edge sequences returning to their start vertex of
     the oriented line graph, one per starting vertex, which is exactly
     what ``trace(T^k)`` counts. Kept deliberately independent of the
-    matrix-power path so the two can check each other.
+    algebraic path in :func:`~iharazeta.line_graph.traces` so the two
+    can check each other.
 
     Raises:
         BudgetExceeded: more DFS steps than ``budget``.

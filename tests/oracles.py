@@ -1,11 +1,12 @@
-"""Reference implementations of the line graph and the exact series kernels.
+"""Reference implementations of the line graph and the exact kernels.
 
 The dense 0/1 matrix T straight from its defining predicate
-(O((2m)^2)), an order-by-order compositional inverse, which recomposes
-the partial inverse for every coefficient (O(N^4)), and the Lazard law
-by N bivariate Horner steps. They are slow but plainly correct, so the
-tests compare the package's successor lists, Lagrange inversion and
-power-table Lazard law against them entry for entry.
+(O((2m)^2)), the traces of T^k by K integer powers of the (2m)x(2m)
+matrix, an order-by-order compositional inverse, which recomposes the
+partial inverse for every coefficient (O(N^4)), and the Lazard law by N
+bivariate Horner steps. They are slow but plainly correct, so the tests
+compare the package's successor lists, vertex-space traces, Lagrange
+inversion and power-table Lazard law against them entry for entry.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from iharazeta.errors import NotInvertible
 from iharazeta.graph import DirectedEdgeSet
+from iharazeta.line_graph import OrientedLineGraph
 from iharazeta.series import (
     BivariateTruncatedSeries,
     TruncatedPowerSeries,
@@ -34,6 +36,34 @@ def dense_line_graph(des: DirectedEdgeSet) -> tuple[tuple[int, ...], ...]:
         )
         for i in range(des.size)
     )
+
+
+def traces_by_line_graph_powers(olg: OrientedLineGraph, K: int) -> tuple[int, ...]:
+    """``trace(T^k)`` for k = 1..K from powers of T in Python integers.
+
+    Each step multiplies the running power by T through the successor
+    lists: O((2m)^2 (d - 1)) additions per power.
+    """
+    size = olg.size
+    succ = olg.successors
+    power = [[0] * size for _ in range(size)]
+    for i, row in enumerate(succ):
+        for j in row:
+            power[i][j] = 1
+    values = []
+    for _ in range(K):
+        values.append(sum(power[i][i] for i in range(size)))
+        nxt = [[0] * size for _ in range(size)]
+        for i in range(size):
+            row = power[i]
+            out = nxt[i]
+            for k in range(size):
+                entry = row[k]
+                if entry:
+                    for j in succ[k]:
+                        out[j] += entry
+        power = nxt
+    return tuple(values)
 
 
 def inverse_composition_order_by_order(t: TruncatedPowerSeries) -> TruncatedPowerSeries:

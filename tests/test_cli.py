@@ -33,6 +33,14 @@ def c5_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def unused_ids_file(tmp_path):
+    # K4 minus an edge on the ids 10..13, so the ids 0..9 have no edges
+    path = tmp_path / "unused_ids.txt"
+    path.write_text("10 11\n11 12\n12 10\n10 13\n13 11\n")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -64,6 +72,15 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", "--graph", str(tmp_path / "nope.txt"))
         assert code == 2
 
+    def test_unused_vertex_ids_reported(self, capsys, unused_ids_file):
+        code, out, _ = run(capsys, "validate", "--graph", unused_ids_file)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["violations"] == [
+            "IsolatedVertex", "NotConnected", "MinDegreeBelowTwo"
+        ]
+        assert payload["vertices"] == 14
+
     def test_text_format(self, capsys, wheel_file):
         code, out, _ = run(capsys, "validate", "--graph", wheel_file, "--format", "text")
         assert code == 0
@@ -91,6 +108,15 @@ class TestZeta:
         code, _, err = run(capsys, "zeta", "--graph", c5_file)
         assert code == 1
         assert "admissible" in err
+
+    def test_unused_vertex_ids_rejected(self, capsys, unused_ids_file):
+        code, out, err = run(capsys, "zeta", "--graph", unused_ids_file)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: graph is not admissible: "
+            "IsolatedVertex, NotConnected, MinDegreeBelowTwo\n"
+        )
 
     def test_byte_identical_reruns(self, capsys, k4_file):
         _, first, _ = run(capsys, "zeta", "--graph", k4_file, "--order", "8")

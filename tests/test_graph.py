@@ -105,6 +105,16 @@ class TestValidateAdmissible:
         report = iz.validate_admissible(g)
         assert report.violations == (iz.Violation.MIN_DEGREE_BELOW_TWO,)
 
+    def test_unused_vertex_ids_flagged_first(self):
+        g = iz.parse_edge_list("10 11\n11 12\n12 10\n10 13\n13 11\n")
+        assert g.n == 14
+        report = iz.validate_admissible(g)
+        assert report.violations == (
+            iz.Violation.ISOLATED_VERTEX,
+            iz.Violation.NOT_CONNECTED,
+            iz.Violation.MIN_DEGREE_BELOW_TWO,
+        )
+
     def test_flag_mirrors_violations(self):
         with pytest.raises(ValueError):
             iz.AdmissibilityReport(admissible=True, violations=(iz.Violation.IS_CYCLE_GRAPH,))

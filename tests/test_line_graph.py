@@ -3,14 +3,46 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iharazeta as iz
 from iharazeta.errors import NoConvergence
 
-from conftest import ACCEPTANCE_GRAPHS, PERIODIC_GRAPHS, graph, line_graph
-from oracles import dense_line_graph
+from conftest import ACCEPTANCE_GRAPHS, EDGE_SETS, PERIODIC_GRAPHS, graph, line_graph
+from oracles import dense_line_graph, traces_by_line_graph_powers
 
 BUILD_GRAPHS = ACCEPTANCE_GRAPHS + PERIODIC_GRAPHS
+
+
+def _hand_built(edges) -> iz.OrientedLineGraph:
+    """Line graph of both orientations of ``edges``, bypassing validation."""
+    tails = tuple(u for u, _ in edges) + tuple(v for _, v in edges)
+    heads = tuple(v for _, v in edges) + tuple(u for u, _ in edges)
+    return iz.build_line_graph(iz.DirectedEdgeSet(tails=tails, heads=heads))
+
+
+@st.composite
+def connected_min_degree_two(draw):
+    """Edges of a random connected graph on 3..9 vertices, min degree 2.
+
+    A random spanning tree plus random extra edges; every vertex still
+    below degree 2 is then joined to the first vertex, from a drawn
+    offset on, that is not yet its neighbour.
+    """
+    n = draw(st.integers(3, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(min(p), max(p)) for p in draw(st.lists(pair, max_size=8)) if p[0] != p[1]}
+    for v in range(n):
+        near = {u for e in edges if v in e for u in e}
+        if len(near) < 3:  # near holds v itself plus its neighbours
+            offset = draw(st.integers(0, n - 1))
+            w = next(
+                w for w in ((offset + i) % n for i in range(n)) if w not in near
+            )
+            edges.add((min(v, w), max(v, w)))
+    return sorted(edges)
 
 
 class TestBuildLineGraph:
@@ -69,7 +101,7 @@ class TestTraces:
         # 4 triangles, 2 directions, 3 starting edges each.
         assert iz.traces(line_graph("k4"), 3).trace(3) == 24
 
-    @pytest.mark.parametrize("name", ["k4", "diamond"])
+    @pytest.mark.parametrize("name", ["k4", "diamond", "wheel", "k23", "k4_sub3"])
     def test_traces_match_exhaustive_walk_counts(self, name):
         olg = line_graph(name)
         tv = iz.traces(olg, 6)
@@ -79,6 +111,47 @@ class TestTraces:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             iz.traces(line_graph("k4"), 0)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SETS))
+    def test_match_line_graph_powers(self, name):
+        olg = line_graph(name)
+        assert iz.traces(olg, 64).values == traces_by_line_graph_powers(olg, 64)
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_min_degree_two())
+    def test_match_line_graph_powers_on_random_graphs(self, edges):
+        g = iz.Graph.from_edges(1 + max(v for _, v in edges), edges)
+        assert min(g.degrees()) >= 2 and g.is_connected()
+        olg = _hand_built(edges)
+        assert iz.traces(olg, 16).values == traces_by_line_graph_powers(olg, 16)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # triangle with a pendant edge 2-3
+            ((0, 1), (0, 2), (1, 2), (2, 3)),
+            # K4 on the ids 0, 2, 5, 9, so ids 1, 3, 4, 6, 7, 8 never occur
+            ((0, 2), (0, 5), (0, 9), (2, 5), (2, 9), (5, 9)),
+        ],
+        ids=["pendant", "id_gaps"],
+    )
+    def test_match_line_graph_powers_outside_admissible(self, edges):
+        olg = _hand_built(edges)
+        assert iz.traces(olg, 32).values == traces_by_line_graph_powers(olg, 32)
+
+    @pytest.mark.parametrize(
+        "tails, heads",
+        [
+            ((0, 1, 2, 1, 2, 0, 0, 1), (1, 2, 0, 0, 1, 2, 1, 0)),  # (0, 1) twice
+            ((0, 1, 2, 0), (1, 2, 0, 2)),  # 0 -> 1 without 1 -> 0
+            ((0, 1, 2, 1, 2, 0, 0, 1), (1, 2, 0, 0, 1, 2, 0, 1)),  # loops at 0, 1
+        ],
+        ids=["repeated_pair", "one_way_edge", "loops"],
+    )
+    def test_rejects_edge_sets_outside_bass_formula(self, tails, heads):
+        olg = iz.build_line_graph(iz.DirectedEdgeSet(tails=tails, heads=heads))
+        with pytest.raises(ValueError, match="simple graph"):
+            iz.traces(olg, 8)
 
 
 class TestSpectralRadius:

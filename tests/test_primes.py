@@ -7,11 +7,24 @@ import iharazeta as iz
 from iharazeta.errors import BudgetExceeded, IncompletePrimeList
 from iharazeta.primes import PrimeCycle, PrimeCycleSet
 
-from conftest import line_graph, zeta_series
+from conftest import ACCEPTANCE_GRAPHS, line_graph, zeta_series
 
 
 def _rotations(seq):
     return [seq[i:] + seq[:i] for i in range(len(seq))]
+
+
+def _moebius(n):
+    """mu(n) by trial division: 0 if a square divides n, else (-1)^(#primes)."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
 
 
 def _is_power_of_shorter(seq):
@@ -74,6 +87,20 @@ class TestEnumeratePrimes:
         for k in range(1, 9):
             total = sum(d * histogram.get(d, 0) for d in range(1, k + 1) if k % d == 0)
             assert total == tv.trace(k)
+
+    @pytest.mark.parametrize("name", ACCEPTANCE_GRAPHS)
+    def test_prime_counts_are_moebius_inversion_of_traces(self, name):
+        # The count the paper reads off the oriented line graph:
+        # pi(k) = (1/k) sum over d | k of mu(k/d) trace(T^d).
+        olg = line_graph(name)
+        tv = iz.traces(olg, 8)
+        predicted = {}
+        for k in range(1, 9):
+            total = sum(_moebius(k // d) * tv.trace(d) for d in range(1, k + 1) if k % d == 0)
+            assert total % k == 0
+            if total:
+                predicted[k] = total // k
+        assert iz.enumerate_primes(olg, 8).histogram() == predicted
 
     def test_k4_histogram_frozen(self):
         assert iz.enumerate_primes(line_graph("k4"), 8).histogram() == {
